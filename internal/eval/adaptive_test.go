@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -146,37 +144,12 @@ func TestAdaptiveIsPrefixOfFullBudget(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSweepsDeterministicAcrossWorkers extends the PR-3 determinism
-// guarantee to the sequential-stopping mode: with -adaptive on, the
-// scenario-engine sweeps must serialize byte-for-byte identically at 1 and
-// 8 workers — the stopping decision depends only on (seed, point, chunk
-// results), never on scheduling.
+// TestAdaptiveSweepsDeterministicAcrossWorkers checks the sequential-
+// stopping mode at 1 and 8 workers: the stopping decision depends only on
+// (seed, point, chunk results), never on scheduling.
 func TestAdaptiveSweepsDeterministicAcrossWorkers(t *testing.T) {
 	for _, id := range []string{"coexistence", "mobility", "scenario", "fig10", "fig11", "fig12"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		var want []byte
-		for _, workers := range []int{1, 8} {
-			cfg := Config{Quick: true, Seed: 1, Workers: workers, Adaptive: Adaptive{Enabled: true}}
-			r, err := e.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", id, workers, err)
-			}
-			got, err := json.Marshal(r.Metrics)
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			if workers == 1 {
-				want = got
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: adaptive metrics differ between 1 and %d workers:\n  1: %s\n  %d: %s",
-					id, workers, want, workers, got)
-			}
-		}
+		checkWorkerInvariance(t, id, Adaptive{Enabled: true}, 1, 8)
 	}
 }
 

@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -12,10 +12,9 @@ import (
 // scale: thousands of mobile nodes walk the campus propagation field,
 // each measuring the band through the chunked RX seam and reporting
 // quantized spectra over the real wire format into one aggregator. The
-// experiment is also the subsystem's determinism gate: the sweep runs at
-// the configured pool and again at one worker, and the marshaled
-// occupancy maps must be byte-identical — the scaled-up form of the
-// property CI pins with unit tests.
+// map_crc32 metric is the marshaled occupancy map's CRC-32 trailer, so the
+// registry's worker-invariance test compares the whole map at every
+// worker count.
 func SenseSweep(cfg Config) (*Result, error) {
 	nodes, ticks, fft := 10000, 6, 256
 	if cfg.Quick {
@@ -37,15 +36,6 @@ func SenseSweep(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	one := sw
-	one.Workers = 1
-	serial, err := sense.Sweep(one)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(res.MapBytes, serial.MapBytes) {
-		return nil, fmt.Errorf("eval: sense occupancy map differs between the configured pool and 1 worker")
-	}
 
 	var m sense.Map
 	if err := m.UnmarshalBinary(res.MapBytes); err != nil {
@@ -57,7 +47,6 @@ func SenseSweep(cfg Config) (*Result, error) {
 		{"Fleet", fmt.Sprintf("%d nodes × %d ticks (%d-bin spectra)", nodes, ticks, fft)},
 		{"Reports ingested", fmt.Sprintf("%d (%.2f MiB over the wire)", res.Reports, float64(res.WireBytes)/(1<<20))},
 		{"Occupancy map", fmt.Sprintf("%d×%d cells, %d bytes marshaled", m.Ticks, m.Bins, len(res.MapBytes))},
-		{"Determinism", "map byte-identical at the configured pool and at 1 worker"},
 		{"Mean occupancy", fmt.Sprintf("%.3f at %g dBm threshold", sum.Occupancy, thresholdDBm)},
 		{"Peak power seen", fmt.Sprintf("%.2f dBm", sum.PeakDBm)},
 	}
@@ -66,6 +55,7 @@ func SenseSweep(cfg Config) (*Result, error) {
 		"reports":    float64(res.Reports),
 		"wire_bytes": float64(res.WireBytes),
 		"map_bytes":  float64(len(res.MapBytes)),
+		"map_crc32":  float64(binary.LittleEndian.Uint32(res.MapBytes[len(res.MapBytes)-4:])),
 		"occupancy":  sum.Occupancy,
 		"peak_dbm":   sum.PeakDBm,
 	}

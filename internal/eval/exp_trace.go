@@ -2,11 +2,9 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
-	"github.com/uwsdr/tinysdr/internal/par"
 	"github.com/uwsdr/tinysdr/internal/phy"
 	"github.com/uwsdr/tinysdr/internal/sim/scenario"
 	"github.com/uwsdr/tinysdr/internal/trace"
@@ -15,10 +13,11 @@ import (
 // TraceReplay exercises the record/replay trace store end to end as a
 // cross-version A/B experiment: record the -phy victim through the
 // composed -scenario channel, round-trip the capture through an on-disk
-// store (Put, GC, Get), replay it at the configured worker count AND at
-// one worker, and require every replayed metric to be byte-identical to
-// the recorded run. The table also reports what the store costs: raw
-// capture size, lzo-compressed size on disk, and blob deduplication.
+// store (Put, GC, Get), and replay it at the configured worker count with
+// trace.Verify, which requires every packet's loss and the RSSI to match
+// the recorded run bit-for-bit. The table also reports what the store
+// costs: raw capture size, lzo-compressed size on disk, and blob
+// deduplication.
 func TraceReplay(cfg Config) (*Result, error) {
 	phyName := cfg.PHY
 	if phyName == "" {
@@ -95,23 +94,11 @@ func TraceReplay(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// The A/B gate proper: replay at the configured pool and at one
-	// worker; both must reproduce the recorded metrics to the last bit.
-	recorded := tr.Manifest.Stats()
-	workerCounts := []int{par.ResolveWorkers(cfg.Workers), 1}
-	for _, workers := range workerCounts {
-		if err := trace.Verify(stored, workers); err != nil {
-			return nil, fmt.Errorf("eval: replay at %d workers diverged: %w", workers, err)
-		}
-		st, err := trace.Replay(stored, workers)
-		if err != nil {
-			return nil, err
-		}
-		if math.Float64bits(st.PER) != math.Float64bits(recorded.PER) ||
-			math.Float64bits(st.RSSIdBm) != math.Float64bits(recorded.RSSIdBm) {
-			return nil, fmt.Errorf("eval: replay stats at %d workers not byte-identical", workers)
-		}
+	// The A/B gate proper: the replay must reproduce the recorded run.
+	if err := trace.Verify(stored, cfg.Workers); err != nil {
+		return nil, fmt.Errorf("eval: replay diverged from the recording: %w", err)
 	}
+	recorded := tr.Manifest.Stats()
 
 	rawBytes := 0
 	for _, b := range stored.Blobs {
@@ -136,10 +123,6 @@ func TraceReplay(cfg Config) (*Result, error) {
 	rows := [][]string{
 		{"Victim / scenario", fmt.Sprintf("%s / %q", phyName, spec)},
 		{"Packets recorded", fmt.Sprintf("%d (PER %.3f, RSSI %.2f dBm)", recorded.Packets, recorded.PER, recorded.RSSIdBm)},
-		// The rendered text must itself be worker-count independent (the
-		// runner's determinism contract covers full stdout), so the row
-		// does not name the resolved pool size.
-		{"Replay determinism", "byte-identical at the configured pool and at 1 worker"},
 		{"Raw capture", fmt.Sprintf("%d bytes in %d blobs (%d deduplicated)", rawBytes, len(stored.Blobs), dedup)},
 		{"On disk (lzo)", fmt.Sprintf("%d bytes, ratio %.2fx", storedBytes, ratio)},
 	}

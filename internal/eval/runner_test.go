@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/uwsdr/tinysdr/internal/par"
@@ -103,35 +104,80 @@ func metricsFingerprint(m map[string]float64) string {
 	return s
 }
 
-// TestParallelRunnerDeterministic is the tentpole acceptance test: the
-// ported experiments must produce byte-identical Result.Metrics for 1, 4
-// and 8 workers at a fixed seed.
+// invarianceRun is what the worker-count checks compare of one run.
+type invarianceRun struct {
+	metrics     map[string]float64
+	fingerprint string
+	text        string
+}
+
+// invarianceRuns memoizes runs by experiment, adaptive mode and worker
+// count, so the registry gate and the per-experiment checks below share
+// runs instead of repeating them.
+var (
+	invarianceMu   sync.Mutex
+	invarianceRuns = map[string]invarianceRun{}
+)
+
+func runForInvariance(t *testing.T, e Experiment, adaptive Adaptive, workers int) invarianceRun {
+	t.Helper()
+	key := fmt.Sprintf("%s/%v/%d", e.ID, adaptive.Enabled, workers)
+	invarianceMu.Lock()
+	defer invarianceMu.Unlock()
+	if r, ok := invarianceRuns[key]; ok {
+		return r
+	}
+	r, err := e.Run(Config{Quick: true, Seed: 1, Workers: workers, Adaptive: adaptive})
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", e.ID, workers, err)
+	}
+	run := invarianceRun{metrics: r.Metrics, fingerprint: metricsFingerprint(r.Metrics), text: r.Text}
+	invarianceRuns[key] = run
+	return run
+}
+
+// checkWorkerInvariance requires the runs of experiment id at each of
+// workers to equal the run at workers[0] bit-for-bit, in the metrics and
+// the rendered text. Metrics are compared through metricsFingerprint
+// rather than JSON because some experiments report ±Inf, which
+// encoding/json rejects.
+func checkWorkerInvariance(t *testing.T, id string, adaptive Adaptive, workers ...int) {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	want := runForInvariance(t, e, adaptive, workers[0])
+	for _, w := range workers[1:] {
+		got := runForInvariance(t, e, adaptive, w)
+		if got.fingerprint != want.fingerprint {
+			t.Errorf("%s: metrics differ between %d and %d workers:\n  %d: %s\n  %d: %s",
+				id, workers[0], w, workers[0], want.fingerprint, w, got.fingerprint)
+		}
+		if got.text != want.text {
+			t.Errorf("%s: rendered text differs between %d and %d workers", id, workers[0], w)
+		}
+	}
+}
+
+// TestRegistryWorkerInvariance is the worker-count determinism gate over
+// every registered experiment: at a fixed seed, the 4- and 8-worker runs
+// must equal the 1-worker run, with sequential stopping both off and on.
+func TestRegistryWorkerInvariance(t *testing.T) {
+	for _, e := range All() {
+		for _, adaptive := range []Adaptive{{}, {Enabled: true}} {
+			t.Run(fmt.Sprintf("%s/adaptive=%v", e.ID, adaptive.Enabled), func(t *testing.T) {
+				checkWorkerInvariance(t, e.ID, adaptive, 1, 4, 8)
+			})
+		}
+	}
+}
+
+// TestParallelRunnerDeterministic checks the first experiments ported to
+// the parallel runner at 1, 4 and 8 workers.
 func TestParallelRunnerDeterministic(t *testing.T) {
 	for _, id := range []string{"fig11", "fig12", "fig15b"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		var want string
-		var wantText string
-		for _, workers := range []int{1, 4, 8} {
-			r, err := e.Run(Config{Quick: true, Seed: 1, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", id, workers, err)
-			}
-			got := metricsFingerprint(r.Metrics)
-			if workers == 1 {
-				want, wantText = got, r.Text
-				continue
-			}
-			if got != want {
-				t.Errorf("%s: metrics differ between 1 and %d workers:\n  1: %s\n  %d: %s",
-					id, workers, want, workers, got)
-			}
-			if r.Text != wantText {
-				t.Errorf("%s: rendered text differs between 1 and %d workers", id, workers)
-			}
-		}
+		checkWorkerInvariance(t, id, Adaptive{}, 1, 4, 8)
 	}
 }
 
@@ -140,20 +186,5 @@ func TestFig14DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig14 is the slowest experiment")
 	}
-	e, _ := ByID("fig14")
-	var want string
-	for _, workers := range []int{1, 8} {
-		r, err := e.Run(Config{Quick: true, Seed: 1, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := metricsFingerprint(r.Metrics)
-		if workers == 1 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("fig14 metrics differ between 1 and %d workers:\n  %s\n  %s", workers, want, got)
-		}
-	}
+	checkWorkerInvariance(t, "fig14", Adaptive{}, 1, 8)
 }

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -107,39 +106,16 @@ func TestScenarioExperimentRejectsBadSpec(t *testing.T) {
 	}
 }
 
-// TestScenarioSweepsDeterministicAcrossWorkers is the satellite acceptance
-// test: the scenario-engine sweeps, serialized exactly as the CLI's
-// -bench-json output serializes them, must be byte-for-byte identical at 1
-// and 8 workers — PR 1's determinism guarantee extended to composed
-// channels (fading draws, CFO jitter, interferer alignment, shadowing).
+// TestScenarioSweepsDeterministicAcrossWorkers checks the scenario-engine
+// sweeps (fading draws, CFO jitter, interferer alignment, shadowing) at 1
+// and 8 workers, and that their metrics serialize as the CLI's -bench-json
+// output serializes them.
 func TestScenarioSweepsDeterministicAcrossWorkers(t *testing.T) {
 	for _, id := range []string{"coexistence", "mobility", "scenario"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		var wantJSON []byte
-		var wantText string
-		for _, workers := range []int{1, 8} {
-			r, err := e.Run(Config{Quick: true, Seed: 1, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", id, workers, err)
-			}
-			got, err := json.Marshal(r.Metrics)
-			if err != nil {
-				t.Fatalf("%s: metrics not JSON-serializable: %v", id, err)
-			}
-			if workers == 1 {
-				wantJSON, wantText = got, r.Text
-				continue
-			}
-			if !bytes.Equal(got, wantJSON) {
-				t.Errorf("%s: metrics JSON differs between 1 and %d workers:\n  1: %s\n  %d: %s",
-					id, workers, wantJSON, workers, got)
-			}
-			if r.Text != wantText {
-				t.Errorf("%s: rendered text differs between 1 and %d workers", id, workers)
-			}
+		checkWorkerInvariance(t, id, Adaptive{}, 1, 8)
+		e, _ := ByID(id)
+		if _, err := json.Marshal(runForInvariance(t, e, Adaptive{}, 1).metrics); err != nil {
+			t.Errorf("%s: metrics not JSON-serializable: %v", id, err)
 		}
 	}
 }

@@ -48,6 +48,10 @@ type Campaign struct {
 // so the cap is the server's memory backstop.
 const MaxCampaigns = 1000
 
+// maxSpecBody caps a POST /campaigns body. A Spec holds only names and
+// numbers, so anything near the cap is not a campaign.
+const maxSpecBody = 64 << 10
+
 // JournalName is the campaign journal's file name inside a state dir.
 const JournalName = "campaigns.journal"
 
@@ -549,7 +553,7 @@ func (s *Server) Crashed() <-chan struct{} { return s.crashed }
 //	POST   /campaigns        create a campaign from a Spec body; an
 //	                         optional "id" field is the idempotency key
 //	                         (201 created, 200 existing, 409 spec conflict,
-//	                         503 draining)
+//	                         413 body over 64 KiB, 503 draining)
 //	GET    /campaigns        list campaign summaries
 //	GET    /campaigns/{id}   one campaign's status and summary
 //	GET    /campaigns/{id}/nodes  the per-node results (once done)
@@ -561,8 +565,13 @@ func (s *Server) Handler() http.Handler {
 			ID string `json:"id"`
 			Spec
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpjson.Error(w, http.StatusBadRequest, fmt.Errorf("fleet: bad spec: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBody)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpjson.Error(w, code, fmt.Errorf("fleet: bad spec: %w", err))
 			return
 		}
 		c, created, err := s.CreateID(req.ID, req.Spec)

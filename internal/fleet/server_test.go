@@ -139,6 +139,33 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPCreateBodyLimits rejects an oversized POST body with 413 before
+// it can create a campaign, and keeps 400 for a truncated one.
+func TestHTTPCreateBodyLimits(t *testing.T) {
+	srv := NewServer()
+	h := srv.Handler()
+
+	// A valid spec behind more than maxSpecBody bytes of leading whitespace.
+	huge := append(bytes.Repeat([]byte(" "), maxSpecBody), `{"seed":1,"nodes":4,"workers":1}`...)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"oversized", huge, http.StatusRequestEntityTooLarge},
+		{"truncated", []byte(`{"seed":1,"nodes":4,`), http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", bytes.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%s body: status %d, want %d", tc.name, rec.Code, tc.want)
+		}
+	}
+	if n := len(srv.List()); n != 0 {
+		t.Errorf("rejected bodies created %d campaigns", n)
+	}
+}
+
 func TestHTTPList(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())

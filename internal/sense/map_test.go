@@ -263,3 +263,31 @@ func TestMapSummarize(t *testing.T) {
 		t.Fatalf("threshold %g", s.ThresholdDBm)
 	}
 }
+
+// FuzzMapUnmarshal holds the occupancy-map parser to the house rule for
+// wire formats: any input it accepts re-marshals byte-identically.
+func FuzzMapUnmarshal(f *testing.F) {
+	// A small swept grid keeps the minimization of new inputs fast.
+	cfg := quickSweep(1)
+	cfg.Ticks, cfg.FFTSize = 1, 4
+	res, err := Sweep(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(res.MapBytes)
+	f.Add([]byte{})
+	f.Add([]byte("TSOM"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Map
+		if err := m.UnmarshalBinary(data); err != nil {
+			return
+		}
+		out, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted map fails to marshal: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("accepted map is not canonical:\n in  %x\n out %x", data, out)
+		}
+	})
+}
